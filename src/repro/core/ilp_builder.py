@@ -17,7 +17,8 @@ constructs the mixed-integer program whose solution is ``Sched(M)``:
 * **(C4.4)** every instance is served once per hyperperiod (eq. 46);
 * objective: minimize the summed application latencies (eqs. 47–49).
 
-Deviations from the paper, for soundness (documented in DESIGN.md):
+Deviations from the paper (documented in DESIGN.md); the first two are
+for soundness, the third for speed:
 
 * we additionally constrain ``tau.o + tau.e <= tau.p`` so no task
   instance crosses its own period boundary, which makes the
@@ -25,7 +26,25 @@ Deviations from the paper, for soundness (documented in DESIGN.md):
 * the leftover indicator ``r0.B_i`` is *linked* to its definition
   (``r0 = 1  iff  m.o + m.d > m.p``) with two big-M constraints, rather
   than left free, so the service accounting is exact at the
-  hyperperiod boundary.
+  hyperperiod boundary;
+* with an exact backend, each latency variable ``delta[app]`` is
+  floored at ``min(eq. 13 bound, period)`` instead of 0.  ``delta``
+  occurs only in the objective and in the ``lat`` rows
+  (``chain latency <= delta``), and deadlines (C1.2) bound the chain
+  latency itself, so the feasible schedules and every round-count
+  verdict are unchanged.  Every chain meets eq. 13, so
+  ``sum(max(LB_a, lat_a))`` has the same minimizers as
+  ``sum(lat_a)``: the floor only lifts the solver's dual bound, and
+  the optimality proof ends once an incumbent reaches the analytic
+  bound.  The clamp to the period keeps ``lb <= ub`` when eq. 13
+  exceeds the period: such a probe must report infeasible, not fail
+  on a bound error.  Heuristic backends keep the 0 floor, which would
+  otherwise move their first incumbent.  Rejected alternatives
+  (docs/ARCHITECTURE.md has the numbers): a floor at ``LB - 1e-5`` (``bnb`` and HiGHS then
+  disagree, 5.99999 vs 6.0, and some schedules overlap by 1e-5 in
+  C3), one summed cut ``sum(delta) >= sum(LB)`` (slower proofs, one
+  more row), and objective-free probes below the accepted R (the
+  extra feasibility solve costs more than it saves).
 """
 
 from __future__ import annotations
@@ -33,8 +52,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from ..milp import Model, ObjectiveSense, Var, quicksum
+from ..milp import Model, ObjectiveSense, Var, get_backend, quicksum
 from .app_model import Application
+from .latency import latency_lower_bound
 from .modes import Mode
 from .schedule import SchedulingConfig
 
@@ -157,8 +177,13 @@ def build_ilp(mode: Mode, num_rounds: int, config: SchedulingConfig) -> IlpHandl
                 )
 
     # ---- (C1.2) chain deadlines + latency variables: eqs. (23), (47)-(49)
+    # Exact backends get the eq. (13) floor on delta (module docstring).
+    floored = get_backend(config.backend).info.exact
     for app in mode.applications:
-        latency = model.add_continuous(f"delta[{app.name}]", 0.0, app.period)
+        floor = 0.0
+        if floored:
+            floor = min(latency_lower_bound(app, t_r), app.period)
+        latency = model.add_continuous(f"delta[{app.name}]", floor, app.period)
         h.app_latency[app.name] = latency
         for idx, chain in enumerate(app.chains()):
             first, last = chain.first_task, chain.last_task

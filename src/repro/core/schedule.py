@@ -134,7 +134,15 @@ class SynthesisStats:
 
 @dataclass
 class IterationStats:
-    """One ILP solve inside Algorithm 1 (a fixed round count ``R_M``)."""
+    """One ILP solve inside Algorithm 1 (a fixed round count ``R_M``).
+
+    ``nodes`` is the solver's branch-and-bound node count (0 when the
+    backend reports none).  ``bound_met`` is True when the probe is
+    feasible and its latency objective equals the summed eq. (13)
+    bound within 1e-6 — an optimality certificate that needs no
+    solver proof.  Both live in memory only: the schedule JSON and
+    the cache key do not carry them.
+    """
 
     num_rounds: int
     feasible: bool
@@ -143,3 +151,4 @@ class IterationStats:
     num_constraints: int
     objective: Optional[float] = None
     nodes: int = 0
+    bound_met: bool = False

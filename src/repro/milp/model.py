@@ -55,8 +55,9 @@ class Solution:
         objective: Objective value in the model's own sense.
         values: Mapping from variable to solution value.  Integer and
             binary variables are rounded to exact integers.
-        nodes: Number of branch-and-bound nodes explored (own backend
-            only; 0 for HiGHS).
+        nodes: Number of branch-and-bound nodes explored (HiGHS's
+            ``mip_node_count`` or the own backend's count; 0 for a
+            backend that does not report one).
     """
 
     status: SolveStatus

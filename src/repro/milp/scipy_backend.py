@@ -110,8 +110,9 @@ def solve_highs(
         )
 
     status = _STATUS_MAP.get(result.status, SolveStatus.ERROR)
+    nodes = int(result.get("mip_node_count") or 0)
     if result.x is None:
-        return Solution(status)
+        return Solution(status, nodes=nodes)
 
     values = {}
     for var in model.variables:
@@ -120,4 +121,4 @@ def solve_highs(
             val = float(round(val))
         values[var] = val
     objective = model.objective.value(values)
-    return Solution(status, objective=objective, values=values)
+    return Solution(status, objective=objective, values=values, nodes=nodes)

@@ -3,7 +3,7 @@ and reactions to degenerate inputs)."""
 
 import pytest
 
-from repro.core import Application, Mode, SchedulingConfig
+from repro.core import Application, Mode, SchedulingConfig, latency_lower_bound
 from repro.core.ilp_builder import build_ilp
 from repro.milp import SolveStatus
 
@@ -96,6 +96,35 @@ class TestDirectSolve:
         handles = build_ilp(mode, 1, config)
         assert handles.model.objective.terms == {}
         assert handles.model.solve().status is SolveStatus.OPTIMAL
+
+
+class TestLatencyFloor:
+    """The eq. (13) floor on ``delta`` (see the ilp_builder docstring)."""
+
+    @pytest.mark.parametrize("backend", ["highs", "bnb"])
+    def test_exact_backends_floor_at_eq13(self, fig3_app, backend):
+        config = SchedulingConfig(round_length=2.0, slots_per_round=5,
+                                  max_round_gap=None, backend=backend)
+        handles = build_ilp(Mode("m", [fig3_app]), 2, config)
+        delta = handles.app_latency[fig3_app.name]
+        assert delta.lb == latency_lower_bound(fig3_app, 2.0)
+        assert delta.lb > 0.0
+
+    @pytest.mark.parametrize("backend", ["highs", "bnb"])
+    def test_floor_clamped_to_period(self, simple_app, backend):
+        # Tr = 25 > p = 20: eq. (13) gives 27, beyond delta's upper bound.
+        config = SchedulingConfig(round_length=25.0, slots_per_round=5,
+                                  max_round_gap=None, backend=backend)
+        handles = build_ilp(Mode("m", [simple_app]), 0, config)
+        delta = handles.app_latency[simple_app.name]
+        assert latency_lower_bound(simple_app, 25.0) > simple_app.period
+        assert delta.lb == delta.ub == simple_app.period
+
+    def test_greedy_keeps_zero_floor(self, fig3_app):
+        config = SchedulingConfig(round_length=2.0, slots_per_round=5,
+                                  max_round_gap=None, backend="greedy")
+        handles = build_ilp(Mode("m", [fig3_app]), 2, config)
+        assert handles.app_latency[fig3_app.name].lb == 0.0
 
 
 class TestConstraintScaling:

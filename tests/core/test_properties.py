@@ -117,3 +117,61 @@ def test_round_minimality(seed):
         return
     handles = build_ilp(mode, sched.num_rounds - 1, config)
     assert handles.model.solve().status is SolveStatus.INFEASIBLE
+
+
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(0, 10**6),
+    num_apps=st.integers(1, 2),
+    slots=st.integers(1, 3),
+)
+def test_latency_floor_is_exact(seed, num_apps, slots):
+    """The eq. (13) floor on ``delta`` changes no answer.
+
+    Every round count Algorithm 1 probes (demand bound up to the first
+    feasible R) is solved twice: as built, and with the floors reset
+    to 0.  Both must agree on feasibility and on the recomputed total
+    latency of the optimum.  The latency tolerance is 1e-5, as in
+    test_latency_never_beats_lower_bound: two optimal points differ by
+    HiGHS's feasibility slack, amplified by the big-M rows (a sweep
+    found 7.0671046 vs 7.0671036 off the bound, at seed 14 with four
+    tasks and B=1).
+    """
+    from repro.core import demand_round_bound, max_rounds
+    from repro.core.ilp_builder import build_ilp
+    from repro.core.schedule import SynthesisStats
+    from repro.core.synthesis import extract_schedule
+
+    generator = WorkloadGenerator(
+        GeneratorConfig(num_tasks=3, num_nodes=5,
+                        period_choices=(20.0, 40.0)),
+        seed=seed,
+    )
+    mode = generator.mode("rand", num_apps)
+    config = SchedulingConfig(
+        round_length=1.0, slots_per_round=slots, max_round_gap=None
+    )
+
+    def solve(num_rounds, floored):
+        handles = build_ilp(mode, num_rounds, config)
+        if not floored:
+            for delta in handles.app_latency.values():
+                delta.lb = 0.0
+        solution = handles.model.solve(backend=config.backend)
+        if not solution.is_feasible:
+            return None
+        sched = extract_schedule(mode, config, handles, solution,
+                                 SynthesisStats(mode_name=mode.name))
+        return sched.total_latency
+
+    for num_rounds in range(demand_round_bound(mode, config),
+                            max_rounds(mode, config) + 1):
+        floored, unfloored = solve(num_rounds, True), solve(num_rounds, False)
+        assert (floored is None) == (unfloored is None), num_rounds
+        if floored is not None:
+            assert abs(floored - unfloored) <= 1e-5, (floored, unfloored)
+            return

@@ -40,6 +40,21 @@ class TestSimpleSynthesis:
         assert [it.num_rounds for it in stats.iterations] == [0, 1]
         assert [it.feasible for it in stats.iterations] == [False, True]
 
+    def test_probe_evidence(self, simple_mode, tight_config):
+        # R=0 is infeasible; R=1 meets eq. (13), so the accepted probe
+        # is certified by the bound, and HiGHS reports its node count.
+        sched = synthesize(simple_mode, tight_config)
+        rejected, accepted = sched.solve_stats.iterations
+        assert not rejected.bound_met
+        assert accepted.bound_met
+        assert accepted.nodes >= 1
+
+    def test_no_bound_certificate_without_objective(self, simple_mode):
+        config = SchedulingConfig(round_length=1.0, slots_per_round=5,
+                                  max_round_gap=None, minimize_latency=False)
+        accepted = synthesize(simple_mode, config).solve_stats.iterations[-1]
+        assert accepted.feasible and not accepted.bound_met
+
     def test_task_only_mode_needs_zero_rounds(self, tight_config):
         app = Application("solo", period=10, deadline=10)
         app.add_task("t", node="n1", wcet=2)
