@@ -14,6 +14,10 @@ Three performance claims, all *mechanism, not results*:
   *distribution-equivalent* (it draws from numpy streams, so the
   comparison is the statistical harness of ``repro.mc.equivalence``,
   not equality).
+* **Belief pass**: the same campaign under the ``LOCAL_BELIEF``
+  ablation must also run the tensor kernel (its per-round belief
+  scan) at **>= 3x trials/sec** over the fast engine's per-trial
+  belief loop, distribution-equivalent to it.
 * **Pooling**: running the same campaign over the trial pool must not
   change a single number, synthesis must happen once per distinct
   config however many trials execute, and on machines with >= 6
@@ -24,7 +28,7 @@ Three performance claims, all *mechanism, not results*:
 The headline numbers land in ``BENCH_mc_campaign.json`` (via the
 ``bench_record`` fixture) so the repository's perf trajectory is
 machine-readable.  CI smokes this path with ``MC_BENCH_TRIALS=2`` so
-it cannot rot; the 5x and 3x bars are asserted at
+it cannot rot; the 5x and both 3x bars are asserted at
 ``MC_BENCH_TRIALS >= 100`` (the default 200).
 """
 
@@ -46,7 +50,7 @@ JOBS = min(8, os.cpu_count() or 1)
 OBS_REPEATS = 5
 
 
-def make_scenario() -> Scenario:
+def make_scenario(policy: str = "beacon_gated") -> Scenario:
     return Scenario(
         name="mc-bench",
         modes=[industrial_mode(num_loops=2, base_period=100.0)],
@@ -54,7 +58,8 @@ def make_scenario() -> Scenario:
                                 max_round_gap=None),
         backend="greedy",
         loss=LossSpec("bernoulli", {"beacon_loss": 0.03, "data_loss": 0.05}),
-        simulation=SimulationSpec(duration=40000.0, trials=TRIALS, seed=42),
+        simulation=SimulationSpec(duration=40000.0, trials=TRIALS, seed=42,
+                                  policy=policy),
     )
 
 
@@ -117,6 +122,22 @@ def test_bench_mc_campaign(benchmark, tmp_path, capsys, bench_record):
     t_vectorized = statistics.median(plain_times)
     t_logged = statistics.median(logged_times)
 
+    # The LOCAL_BELIEF leg: the same campaign (same cached schedule)
+    # under the ablation policy, fast belief loop vs the belief pass.
+    belief_scenario = make_scenario(policy="local_belief")
+    started = time.monotonic()
+    belief_fast = run_campaign(belief_scenario, jobs=1, cache_dir=cache_dir,
+                               engine="fast")
+    t_belief_fast = time.monotonic() - started
+    belief_times = []
+    for _repeat in range(OBS_REPEATS):
+        started = time.monotonic()
+        belief_vectorized = run_campaign(belief_scenario, jobs=1,
+                                         cache_dir=cache_dir,
+                                         engine="vectorized")
+        belief_times.append(time.monotonic() - started)
+    t_belief_vectorized = statistics.median(belief_times)
+
     # The scalar engines must agree on every number, and pooling must
     # not change a single one either.
     assert fast.points[0].trials == reference.points[0].trials
@@ -134,15 +155,24 @@ def test_bench_mc_campaign(benchmark, tmp_path, capsys, bench_record):
     assert logged.engines == vectorized.engines
     assert logged.points[0].stats.to_dict() == \
         vectorized.points[0].stats.to_dict()
+    assert belief_vectorized.engines == {scenario.name: "vectorized"}
+    assert belief_fast.engines == {scenario.name: "fast"}
     if TRIALS >= 20:  # below that the Wilson intervals span everything
         assert_distribution_equivalent(
             vectorized.points[0], fast.points[0], label="bench"
+        )
+        # One mode, so beliefs never go stale and the exact collision
+        # check (zero on both engines) applies.
+        assert_distribution_equivalent(
+            belief_vectorized.points[0], belief_fast.points[0],
+            label="bench/local_belief",
         )
 
     # Synthesis once per distinct config: the warm-up solved the one
     # distinct problem; every timed pass did zero solver work, despite
     # executing TRIALS trials each.
-    for result in (reference, fast, ref_pooled, fast_pooled, vectorized):
+    for result in (reference, fast, ref_pooled, fast_pooled, vectorized,
+                   belief_fast, belief_vectorized):
         assert result.stats.modes_synthesized == 0
         assert result.stats.cache_hits == 1
 
@@ -154,6 +184,10 @@ def test_bench_mc_campaign(benchmark, tmp_path, capsys, bench_record):
     pool_speedup = t_reference / t_ref_pooled if t_ref_pooled else float("inf")
     vectorized_speedup = t_fast / t_vectorized if t_vectorized \
         else float("inf")
+    belief_vectorized_speedup = (
+        t_belief_fast / t_belief_vectorized if t_belief_vectorized
+        else float("inf")
+    )
     stats = fast.points[0].stats
     bench_record(
         "mc_campaign",
@@ -172,6 +206,15 @@ def test_bench_mc_campaign(benchmark, tmp_path, capsys, bench_record):
         ),
         engine_speedup=engine_speedup,
         vectorized_speedup=vectorized_speedup,
+        belief_fast_seconds=t_belief_fast,
+        belief_vectorized_seconds=t_belief_vectorized,
+        belief_fast_trials_per_sec=(
+            TRIALS / t_belief_fast if t_belief_fast else None
+        ),
+        belief_vectorized_trials_per_sec=(
+            TRIALS / t_belief_vectorized if t_belief_vectorized else None
+        ),
+        belief_vectorized_speedup=belief_vectorized_speedup,
         logged_vectorized_seconds=t_logged,
         obs_overhead_pct=obs_overhead_pct,
         obs_repeats=OBS_REPEATS,
@@ -201,10 +244,17 @@ def test_bench_mc_campaign(benchmark, tmp_path, capsys, bench_record):
              else float("inf")),
             ("vectorized+log", round(t_logged, 2),
              round(TRIALS / t_logged, 1) if t_logged else float("inf")),
+            ("belief fast (j=1)", round(t_belief_fast, 2),
+             round(TRIALS / t_belief_fast, 1) if t_belief_fast
+             else float("inf")),
+            ("belief vectorized", round(t_belief_vectorized, 2),
+             round(TRIALS / t_belief_vectorized, 1) if t_belief_vectorized
+             else float("inf")),
         ]
         print(format_table(["engine", "time [s]", "trials/s"], rows))
         print(f"engine speedup: {engine_speedup:.2f}x   "
               f"vectorized speedup: {vectorized_speedup:.2f}x   "
+              f"belief speedup: {belief_vectorized_speedup:.2f}x   "
               f"pool speedup: {pool_speedup:.2f}x   "
               f"obs overhead: {obs_overhead_pct:+.1f}%   "
               f"miss {stats.miss}   collisions {stats.collisions}")
@@ -226,6 +276,14 @@ def test_bench_mc_campaign(benchmark, tmp_path, capsys, bench_record):
         assert vectorized_speedup >= 3.0, (
             f"vectorized engine only {vectorized_speedup:.2f}x faster "
             f"than fast ({t_fast:.2f}s -> {t_vectorized:.2f}s, "
+            f"{TRIALS} trials)"
+        )
+        # The same bar for the LOCAL_BELIEF ablation: the belief pass
+        # against the fast engine's per-trial belief loop.
+        assert belief_vectorized_speedup >= 3.0, (
+            f"vectorized belief pass only "
+            f"{belief_vectorized_speedup:.2f}x faster than fast "
+            f"({t_belief_fast:.2f}s -> {t_belief_vectorized:.2f}s, "
             f"{TRIALS} trials)"
         )
         # The observability bar: batch-granular logging must cost under

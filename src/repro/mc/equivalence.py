@@ -16,7 +16,10 @@ over the *same* scenario and trial count, it checks:
   rounds, per-flow and per-chain instance totals, beacon denominators,
   collision counts, and trial counts must match exactly — these do not
   depend on the loss realization, so any difference is a timeline bug,
-  not noise;
+  not noise.  The one exception is the ``LOCAL_BELIEF`` ablation, where
+  who transmits depends on the beacons each node hears: there
+  collisions are a sampled quantity, compared as a rate (collided
+  slots per executed slot, ``collision_slots``) like every other;
 * **every rate estimate is compatible**: the Wilson score intervals of
   the two engines (recomputed at a configurable, deliberately wide
   ``z``) must overlap for overall/per-flow deadline-miss, delivery,
@@ -43,7 +46,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..runtime.trial import TrialResult
+from ..runtime.simulator import NodePolicy
+from ..runtime.trial import TrialResult, build_context
 from .stats import CampaignStats, RateEstimate, wilson_interval
 
 #: z-quantile of a 99.9 % two-sided confidence level — wide on purpose
@@ -118,6 +122,7 @@ def assert_distribution_equivalent(
     radio_rtol: float = 0.05,
     ks_c_alpha: float = 1.95,
     require_same_totals: bool = True,
+    collision_slots: Optional[int] = None,
     label: str = "",
 ) -> None:
     """Assert two engines produced statistically compatible campaigns.
@@ -135,6 +140,11 @@ def assert_distribution_equivalent(
         require_same_totals: Also require the deterministic structure
             (rounds, instance totals, denominators) to match exactly.
             Disable only when comparing across *different* scenarios.
+        collision_slots: Executed data slots per trial.  When given,
+            collisions are a sampled quantity (the ``LOCAL_BELIEF``
+            ablation): collided slots per executed slot must have
+            overlapping Wilson intervals at ``z`` instead of equal
+            counts.  ``None`` (the default) keeps the exact check.
         label: Prefix for failure messages (e.g. the loss kind).
 
     Raises:
@@ -156,7 +166,10 @@ def assert_distribution_equivalent(
     if require_same_totals:
         if stats_a.rounds != stats_b.rounds:
             fail(f"executed rounds differ: {stats_a.rounds} vs {stats_b.rounds}")
-        if stats_a.collisions != stats_b.collisions:
+        if (
+            collision_slots is None
+            and stats_a.collisions != stats_b.collisions
+        ):
             fail(
                 f"collision counts differ: {stats_a.collisions} vs "
                 f"{stats_b.collisions}"
@@ -200,6 +213,14 @@ def assert_distribution_equivalent(
         ("delivery rate", stats_a.delivery, stats_b.delivery),
         ("beacon reception rate", stats_a.beacon, stats_b.beacon),
     ]
+    if collision_slots is not None:
+        slots_a = collision_slots * stats_a.n_trials
+        slots_b = collision_slots * stats_b.n_trials
+        rates.append((
+            "collision rate",
+            RateEstimate(stats_a.collisions, slots_a),
+            RateEstimate(stats_b.collisions, slots_b),
+        ))
     rates.extend(
         (f"flow {flow!r} miss rate", stats_a.flows[flow], stats_b.flows[flow])
         for flow in sorted(set(stats_a.flows) & set(stats_b.flows))
@@ -296,6 +317,12 @@ def assert_engines_equivalent(
     reference`` fallback ladder — the piece that catches a new loss
     kind silently downgrading instead of vectorizing.
 
+    Under the ``LOCAL_BELIEF`` ablation collisions depend on the loss
+    realization, so the pairwise checks compare them as collided slots
+    per executed slot (``collision_slots`` of
+    :func:`assert_distribution_equivalent`, read off the scenario's
+    unrolled timeline) instead of exactly.
+
     Args:
         scenario: A :class:`repro.api.Scenario` with a simulation phase.
         engines: Engine names to run and cross-compare.
@@ -324,7 +351,7 @@ def assert_engines_equivalent(
     import tempfile
 
     from ..engine.cache import ScheduleCache
-    from .campaign import run_campaign
+    from .campaign import run_campaign, scenario_context
 
     if len(engines) < 2 and not expect:
         raise ValueError("assert_engines_equivalent needs >= 2 engines")
@@ -358,6 +385,17 @@ def assert_engines_equivalent(
                     f"expected {resolved!r} (fallback ladder moved)"
                 )
 
+    collision_slots = None
+    if scenario.simulation.node_policy() is NodePolicy.LOCAL_BELIEF:
+        schedules = next(iter(results.values())).schedules[scenario.name]
+        timeline = build_context(
+            scenario_context(scenario, schedules)
+        ).timeline()
+        # No timeline means no engine vectorized: the scalar engines
+        # are bit-identical, so the exact collision check stays.
+        if timeline is not None:
+            collision_slots = timeline.num_slots
+
     names = list(results)
     for i, name_a in enumerate(names):
         for name_b in names[i + 1:]:
@@ -383,6 +421,7 @@ def assert_engines_equivalent(
                     z=z,
                     radio_rtol=radio_rtol,
                     ks_c_alpha=ks_c_alpha,
+                    collision_slots=collision_slots,
                     label=point_label,
                 )
     return results

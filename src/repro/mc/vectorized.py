@@ -2,12 +2,13 @@
 
 The compiled fast path (:mod:`repro.mc.fastpath`) removed the trace but
 still runs **one Python loop per trial**.  This module removes that
-loop too, exploiting a structural fact of beacon-gated execution: the
-round timeline — which round of which mode executes when, when mode
-changes trigger, which slot records which message instance against
-which deadline — is **fully deterministic**.  Loss only decides who
-*receives* each flood, never what the host schedules.  So a grid point
-factors into three array-programming stages:
+loop too, exploiting a structural fact of TTW execution: the round
+timeline — which round of which mode executes when, when mode changes
+trigger, which slot records which message instance against which
+deadline — is **fully deterministic** under both node policies, because
+the host alone drives the round and slot sequence.  Loss only decides
+who *receives* each flood and, under the ``LOCAL_BELIEF`` ablation, who
+*transmits*.  So a grid point factors into array-programming stages:
 
 1. :func:`unroll_timeline` — walk the compiled round program once
    (exactly :func:`repro.mc.fastpath.run_program`'s control flow, with
@@ -22,7 +23,12 @@ factors into three array-programming stages:
    ``numpy.random.default_rng(seed)`` in a fixed intra-trial order
    (so results are independent of how trials are batched across pool
    workers).
-3. :func:`accumulate_trials` — pure array reductions: delivery is a
+3. :func:`slot_transmitters` — who transmits in every slot.  Under
+   beacon gating that is the scheduled sender iff it heard the round's
+   beacon; under ``LOCAL_BELIEF`` it is a per-round scan over a
+   ``(trials, nodes)`` belief state (:func:`belief_transmitters`),
+   sequential in rounds and parallel in trials.
+4. :func:`accumulate_trials` — pure array reductions: delivery is a
    fancy-index gather plus an ``all`` over consumer bits, radio-on
    time is an integer round-participation count times the slot
    constants, chain completeness is an ``all`` over precomputed
@@ -36,9 +42,9 @@ vectorized samplers draw from numpy streams, not the reference models'
 ``fast``/``reference`` engines while every *deterministic* quantity
 (instance totals, rounds, switch delays, deadline flags) matches
 exactly and every sampled *distribution* (miss rates, radio-on, burst
-structure) agrees statistically.  :mod:`repro.mc.equivalence` is the
-harness that makes this claim testable; ``fast`` stays the bit-exact
-default engine.
+structure, and under ``LOCAL_BELIEF`` the collision rate) agrees
+statistically.  :mod:`repro.mc.equivalence` is the harness that makes
+this claim testable; ``fast`` stays the bit-exact default engine.
 
 Within one seed the engine is fully deterministic: equal seeds give
 byte-identical :class:`~repro.runtime.trial.TrialResult`\\ s across
@@ -47,8 +53,7 @@ repeated runs, ``jobs`` settings, and trial-batch splits.
 Unsupported features fall back along ``vectorized -> fast ->
 reference`` (see :func:`repro.runtime.trial.trial_engine`): loss kinds
 without a vector sampler (``glossy`` floods are topology-sequential),
-the ``LOCAL_BELIEF`` ablation (per-round belief recurrences), scenarios
-the compiler rejects, and out-of-deployment beacon hosts.
+scenarios the compiler rejects, and out-of-deployment beacon hosts.
 """
 
 from __future__ import annotations
@@ -133,6 +138,15 @@ class Timeline:
             ``S`` means a missing instance (never on time), ``S + 1``
             is padding (trivially satisfied).
         switch_delays: Mode-change delays — identical in every trial.
+        round_uid: ``(R,)`` globally unique round id
+            (:attr:`~repro.runtime.compiled.SystemProgram.uid_mode`
+            index) of each executed round — what a node that hears the
+            round's beacon believes.
+        slot_pos: ``(S,)`` position of each slot within its round — the
+            bit it occupies in the ``tx_slot_masks`` transmit tables.
+        trigger_uid: ``(R,)`` on a mode-change trigger round, the new
+            mode's last round uid (nodes that hear the SB beacon adopt
+            it); ``-1`` on every other round.
     """
 
     num_rounds: int
@@ -146,6 +160,9 @@ class Timeline:
     has_consumers: np.ndarray
     chain_programs: Tuple[Tuple[str, int, np.ndarray], ...]
     switch_delays: Tuple[float, ...]
+    round_uid: np.ndarray
+    slot_pos: np.ndarray
+    trigger_uid: np.ndarray
 
 
 def unroll_timeline(
@@ -160,20 +177,11 @@ def unroll_timeline(
     instance/stop-time gating of every slot, chain accounting — with
     identical plain-float arithmetic, so the deterministic outputs
     (instance totals, deadline flags, switch delays) equal the fast
-    engine's exactly.
-
-    Raises:
-        VectorizeError: for the ``LOCAL_BELIEF`` ablation, whose
-            belief recurrence couples transmission to the loss
-            realization — there the timeline is *not* deterministic
-            and callers fall back to the ``fast`` engine.
+    engine's exactly.  The host drives this sequence under both node
+    policies, so one unroll serves both; the ``LOCAL_BELIEF`` ablation
+    additionally reads the round uids, slot positions and trigger uids
+    that its belief pass (:func:`belief_transmitters`) scans.
     """
-    if program.policy is not NodePolicy.BEACON_GATED:
-        raise VectorizeError(
-            f"vectorized kernel supports the beacon_gated policy only, "
-            f"got {program.policy.value!r}; falling back to the fast engine"
-        )
-
     requests = sorted(mode_requests, key=lambda r: r.time)
     request_count = len(requests)
     request_idx = 0
@@ -195,7 +203,10 @@ def unroll_timeline(
     round_cursor = 0
 
     slots_per_round: List[int] = []
+    round_uid: List[int] = []
+    trigger_uid: List[int] = []
     slot_round: List[int] = []
+    slot_pos: List[int] = []
     slot_sender: List[int] = []
     slot_deadline_ok: List[bool] = []
     consumer_masks: List[int] = []
@@ -252,8 +263,10 @@ def unroll_timeline(
         round_index = len(slots_per_round)
         rows = mode_program.slot_rows[round_cursor]
         slots_per_round.append(len(rows))
+        round_uid.append(mode_program.uid_base + round_cursor)
+        trigger_uid.append(-1)
 
-        for row in rows:
+        for position, row in enumerate(rows):
             (
                 gid,
                 sender_index,
@@ -269,6 +282,7 @@ def unroll_timeline(
             ) = row
             slot = len(slot_round)
             slot_round.append(round_index)
+            slot_pos.append(position)
             slot_sender.append(sender_index)
             consumer_masks.append(consumers_mask)
 
@@ -299,6 +313,9 @@ def unroll_timeline(
             )
             current_id = pending_target
             mode_program = mode_programs[current_id]
+            trigger_uid[round_index] = (
+                mode_program.uid_base + mode_program.num_rounds - 1
+            )
             mode_origin = new_origin
             occurrence = 0
             round_cursor = 0
@@ -390,7 +407,119 @@ def unroll_timeline(
         switch_delays=tuple(
             new_start - req_at for req_at, new_start, _f, _t in switches
         ),
+        round_uid=np.asarray(round_uid, dtype=np.intp),
+        slot_pos=np.asarray(slot_pos, dtype=np.intp),
+        trigger_uid=np.asarray(trigger_uid, dtype=np.intp),
     )
+
+
+# -- who transmits ------------------------------------------------------------
+
+
+def _belief_tables(program: SystemProgram) -> Tuple[np.ndarray, np.ndarray]:
+    """The belief pass's lookup tables, indexed by round uid.
+
+    Returns ``(successor, tx_table)``: ``successor[uid]`` is the uid a
+    node that misses a beacon advances to (the next round of the same
+    mode, cyclically), and ``tx_table[uid, node, position]`` says
+    whether ``node``'s deployment table makes it transmit in slot
+    ``position`` of round ``uid``.  The extra last index is the "never
+    heard a beacon" sentinel: its own successor, transmitting nowhere.
+    """
+    never = len(program.uid_mode)
+    modes = program.modes.values()
+    width = max(
+        [len(rows) for mode in modes for rows in mode.slot_rows]
+        + [
+            mask.bit_length()
+            for mode in modes
+            for row in mode.tx_slot_masks
+            for mask in row
+        ],
+        default=0,
+    )
+    successor = np.empty(never + 1, dtype=np.intp)
+    successor[never] = never
+    tx_table = np.zeros(
+        (never + 1, len(program.node_names), width), dtype=bool
+    )
+    for uid, (mode_id, index) in enumerate(
+        zip(program.uid_mode, program.uid_index)
+    ):
+        mode_program = program.modes[mode_id]
+        successor[uid] = mode_program.uid_base + (
+            (index + 1) % mode_program.num_rounds
+        )
+        for node, mask in enumerate(mode_program.tx_slot_masks[index]):
+            while mask:
+                low = mask & -mask
+                tx_table[uid, node, low.bit_length() - 1] = True
+                mask ^= low
+    return successor, tx_table
+
+
+def belief_transmitters(
+    program: SystemProgram, timeline: Timeline, beacon: np.ndarray
+) -> np.ndarray:
+    """Predicted transmitters of every slot under ``LOCAL_BELIEF``.
+
+    :func:`repro.mc.fastpath.run_program`'s belief recurrence as one
+    scan over the executed rounds, on a ``(trials, nodes)`` state of
+    round uids: a node that hears the round's beacon takes the round's
+    uid, a node that misses it advances its belief to the cyclic
+    successor, and a node that has never heard a beacon (the sentinel)
+    stays silent.  After a trigger round, the nodes that heard the SB
+    beacon adopt the new mode's last uid, so their next prediction is
+    the new mode's round 0.
+
+    Returns:
+        ``(trials, S, N)`` boolean: node ``n`` transmits in slot ``s``.
+    """
+    successor, tx_table = _belief_tables(program)
+    trials, rounds, node_count = beacon.shape
+    # Round-major copies, so every step of the scan reads and writes
+    # one contiguous (trials, nodes) block.
+    heard_by_round = np.ascontiguousarray(beacon.transpose(1, 0, 2))
+    predicted = np.empty((rounds, trials, node_count), dtype=np.intp)
+    belief = np.full((trials, node_count), successor.size - 1, dtype=np.intp)
+    round_uid = timeline.round_uid.tolist()
+    trigger_uid = timeline.trigger_uid.tolist()
+    for r in range(rounds):
+        heard = heard_by_round[r]
+        belief_r = predicted[r]
+        np.take(successor, belief, out=belief_r)
+        np.copyto(belief_r, round_uid[r], where=heard)
+        belief = belief_r
+        if trigger_uid[r] >= 0:
+            belief = np.where(heard, trigger_uid[r], belief_r)
+    return tx_table[
+        predicted[timeline.slot_round].transpose(1, 0, 2),
+        np.arange(node_count),
+        timeline.slot_pos[:, None],
+    ]
+
+
+def slot_transmitters(
+    program: SystemProgram, timeline: Timeline, beacon: np.ndarray
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Who transmits in every slot, under the program's node policy.
+
+    Returns:
+        ``(delivering, tx)``.  ``delivering`` is ``(trials, S)``: the
+        slot's scheduled sender is its only transmitter.  Under beacon
+        gating the only candidate transmitter is the scheduled sender,
+        gated on the round's beacon, and ``tx`` is ``None``.  Under
+        ``LOCAL_BELIEF``, ``tx`` is the ``(trials, S, N)`` tensor of
+        :func:`belief_transmitters`: a slot collides when more than one
+        node transmits.
+    """
+    if program.policy is NodePolicy.LOCAL_BELIEF:
+        tx = belief_transmitters(program, timeline, beacon)
+        lone = tx.sum(axis=2) == 1
+        delivering = lone & tx[:, np.arange(timeline.num_slots),
+                               timeline.slot_sender]
+        return delivering, tx
+    return beacon[:, timeline.slot_round, timeline.slot_sender], None
 
 
 # -- vectorized loss samplers -------------------------------------------------
@@ -555,11 +684,11 @@ class _TraceReplayVector:
     """Tensor twin of :class:`TraceReplayLoss` (deterministic).
 
     The beacon cursor advances once per round; the data cursor advances
-    only for *delivering* slots — and under beacon gating, with a
-    deterministic beacon sequence, which slots deliver is itself
-    deterministic, so the whole cursor walk happens here, once.
-    Non-delivering slots never read their data row (the accumulator
-    masks them out) and are filled permissively.
+    only for *delivering* slots — and with a deterministic beacon
+    sequence, which slots deliver is itself deterministic under either
+    node policy (:func:`slot_transmitters`), so the whole cursor walk
+    happens here, once.  Non-delivering slots never read their data row
+    (the accumulator masks them out) and are filled permissively.
     """
 
     def __init__(
@@ -620,7 +749,7 @@ class _TraceReplayVector:
             beacon[r] = True if row is None else row
         beacon[:, host_index] = True
 
-        delivering = beacon[timeline.slot_round, timeline.slot_sender]
+        delivering = slot_transmitters(program, timeline, beacon[None])[0][0]
         data = np.ones((timeline.num_slots, nodes), dtype=bool)
         cursor = 0
         for slot in np.flatnonzero(delivering):
@@ -898,10 +1027,9 @@ def accumulate_trials(
     trials = beacon.shape[0]
     node_count = len(program.node_names)
 
-    # A slot delivers iff its scheduled sender heard this round's
-    # beacon (beacon gating); it counts as delivered when every
-    # consumer receives the data flood.
-    delivering = beacon[:, timeline.slot_round, timeline.slot_sender]
+    # A delivering slot counts as delivered when every consumer
+    # receives the data flood.
+    delivering, tx = slot_transmitters(program, timeline, beacon)
     covered = ~np.any(timeline.consumers[None, :, :] & ~data, axis=2)
     delivered = delivering & covered & timeline.has_consumers[None, :]
     on_time = delivered & timeline.slot_deadline_ok[None, :]
@@ -919,12 +1047,19 @@ def accumulate_trials(
     ]
 
     # Radio accounting: every node is on for every beacon; during data
-    # slots exactly the nodes that heard the round's beacon participate
-    # (the delivering sender is always among them).
+    # slots the nodes that heard the round's beacon participate (under
+    # beacon gating the delivering sender is always among them; under
+    # LOCAL_BELIEF a node transmitting on a stale belief is on too).
     if program.radio_beacon_on is not None:
-        participation = np.tensordot(
-            beacon.astype(np.int64), timeline.slots_per_round, axes=([1], [0])
-        )
+        if tx is None:
+            participation = np.tensordot(
+                beacon.astype(np.int64), timeline.slots_per_round,
+                axes=([1], [0]),
+            )
+        else:
+            participation = (
+                beacon[:, timeline.slot_round, :] | tx
+            ).sum(axis=1, dtype=np.int64)
         radio = (
             timeline.num_rounds * program.radio_beacon_on
             + participation * program.radio_data_on
@@ -942,13 +1077,20 @@ def accumulate_trials(
         for app_name, total, matrix in timeline.chain_programs
     ]
 
+    # Beacon gating is collision-free; under LOCAL_BELIEF a slot
+    # collides when more than one node transmits.
+    collisions = (
+        np.zeros(trials, dtype=np.int64) if tx is None
+        else (tx.sum(axis=2) > 1).sum(axis=1)
+    )
+
     expected = node_count * timeline.num_rounds
     switch_delays = list(timeline.switch_delays)
     results = []
     for t in range(trials):
         result = TrialResult(duration=duration)
         result.rounds = timeline.num_rounds
-        result.collisions = 0  # beacon gating is collision-free
+        result.collisions = int(collisions[t])
         result.beacon_heard = (int(heard[t]), expected)
         result.messages = {
             name: (int(on[t]), int(deliv[t]), total)

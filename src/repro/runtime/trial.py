@@ -167,9 +167,6 @@ class TrialContext:
         default=None, repr=False, compare=False
     )
     _timeline: object = field(default=False, repr=False, compare=False)
-    _timeline_error: Optional[str] = field(
-        default=None, repr=False, compare=False
-    )
 
     def compiled(self):
         """The compiled :class:`~repro.runtime.compiled.SystemProgram`,
@@ -198,31 +195,28 @@ class TrialContext:
 
     def timeline(self):
         """The unrolled deterministic :class:`~repro.mc.vectorized.Timeline`
-        of the scenario, or ``None`` when the scenario does not compile
-        or the vectorized kernel does not support it
+        of the scenario — the host drives the round sequence under
+        either node policy, so every compiled program unrolls — or
+        ``None`` when the scenario does not compile
         (:attr:`timeline_error` then says why).  Computed once per
         context, like :meth:`compiled`."""
         if self._timeline is False:
             program = self.compiled()
             if program is None:
                 self._timeline = None
-                self._timeline_error = self._compile_error
             else:
-                from ..mc.vectorized import VectorizeError, unroll_timeline
+                from ..mc.vectorized import unroll_timeline
 
-                try:
-                    self._timeline = unroll_timeline(
-                        program, self.duration, self.mode_requests
-                    )
-                except VectorizeError as exc:
-                    self._timeline = None
-                    self._timeline_error = str(exc)
+                self._timeline = unroll_timeline(
+                    program, self.duration, self.mode_requests
+                )
         return self._timeline
 
     @property
     def timeline_error(self) -> Optional[str]:
-        """Why :meth:`timeline` returned ``None`` (``None`` otherwise)."""
-        return self._timeline_error
+        """Why :meth:`timeline` returned ``None`` — the compile error —
+        or ``None`` when it did not."""
+        return self._compile_error if self._timeline is None else None
 
 
 def build_context(data: dict) -> TrialContext:
@@ -311,8 +305,9 @@ def trial_engine(
     host resolves to a compiled node index; ``"reference"`` otherwise.
     ``engine="vectorized"`` resolves to ``"vectorized"`` when, in
     addition, the loss kind has a vector sampler and the round timeline
-    unrolls (beacon-gated policy); anything unsupported falls through
-    the same ladder to ``"fast"``, then ``"reference"``.
+    unrolls — under either node policy, since the host drives the
+    round sequence in both; anything unsupported falls through the
+    same ladder to ``"fast"``, then ``"reference"``.
     ``engine="reference"`` is always itself.
     """
     if engine == "reference":
@@ -355,8 +350,11 @@ def fallback_reason(
     Mirrors :func:`trial_engine`'s rules and surfaces the stored
     diagnostics (:attr:`TrialContext.compile_error` /
     :attr:`TrialContext.timeline_error`), so observability events can
-    say *why* a campaign ran scalar, not merely that it did.  Only
-    called on the fallback path — costs nothing otherwise.
+    say *why* a campaign ran scalar, not merely that it did — a
+    missing vector sampler (``glossy``), a scenario the compiler
+    rejects, or a host outside the program; the node policy is never
+    the reason.  Only called on the fallback path — costs nothing
+    otherwise.
     """
     if resolved == requested:
         return None

@@ -18,6 +18,7 @@ exactly, not just statistically — and get one.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -40,6 +41,7 @@ from repro.mc import (
 from repro.mc.campaign import scenario_context
 from repro.mc.equivalence import ks_critical_value, ks_statistic
 from repro.runtime.trial import build_context, run_trial
+from repro.mc import vectorized as vectorized_module
 from repro.mc.vectorized import run_trials_vectorized
 
 
@@ -92,6 +94,13 @@ def campaign_scenario(kind, params, *, trials=160, seed=11, **overrides):
             mode_requests=((300.0, "degraded"), (900.0, "normal")),
         ),
         **overrides,
+    )
+
+
+def with_policy(scenario: Scenario, policy: str) -> Scenario:
+    return dataclasses.replace(
+        scenario,
+        simulation=dataclasses.replace(scenario.simulation, policy=policy),
     )
 
 
@@ -190,32 +199,50 @@ class TestVectorizedEquivalence:
 
     @pytest.mark.parametrize("policy", ["beacon_gated", "local_belief"])
     def test_both_policies_give_compatible_campaigns(self, policy, tmp_path):
-        """Requesting ``vectorized`` is valid under *both* node
-        policies: beacon gating runs the tensor kernel, the
-        local-belief ablation falls back to the (bit-exact) fast
-        engine — either way the campaign is distribution-equivalent to
-        the reference."""
-        def scenario():
-            base = campaign_scenario(
+        """Both node policies run the tensor kernel, and either way the
+        campaign is distribution-equivalent to the reference."""
+        scenario = with_policy(
+            campaign_scenario(
                 "bernoulli", {"beacon_loss": 0.2, "data_loss": 0.1},
                 trials=120,
-            )
-            return dataclasses.replace(
-                base,
-                simulation=dataclasses.replace(
-                    base.simulation, policy=policy
-                ),
-            )
-
-        vec = run_campaign(scenario(), cache_dir=tmp_path / "cache",
-                           engine="vectorized")
-        reference = run_campaign(scenario(), cache_dir=tmp_path / "cache",
-                                 engine="reference")
-        expected = "vectorized" if policy == "beacon_gated" else "fast"
-        assert vec.engines == {"switchy": expected}
-        assert_distribution_equivalent(
-            vec.points[0], reference.points[0], label=policy
+            ),
+            policy,
         )
+        results = assert_engines_equivalent(
+            scenario,
+            ("vectorized", "reference"),
+            cache_dir=tmp_path / "cache",
+            expect={"vectorized": "vectorized"},
+            label=policy,
+        )
+        if policy == "local_belief":
+            # Two mode changes under 20 % beacon loss: stale beliefs
+            # collide, on both engines.
+            assert results["vectorized"].points[0].stats.collisions > 0
+            assert results["reference"].points[0].stats.collisions > 0
+
+    @pytest.mark.parametrize(
+        "kind,params,deterministic", VECTOR_LOSS_MATRIX,
+        ids=[row[0] for row in VECTOR_LOSS_MATRIX],
+    )
+    def test_local_belief_equivalent_to_fast(
+        self, kind, params, deterministic, tmp_path
+    ):
+        """The belief pass per loss kind, against the fast engine (which
+        is bit-identical to the reference and much quicker)."""
+        results = assert_engines_equivalent(
+            with_policy(campaign_scenario(kind, params), "local_belief"),
+            ("vectorized", "fast"),
+            cache_dir=tmp_path / "cache",
+            expect={"vectorized": "vectorized", "fast": "fast"},
+            label=f"{kind}/local_belief",
+        )
+        vec = results["vectorized"].points[0]
+        fast = results["fast"].points[0]
+        assert vec.trials[0].switch_delays == fast.trials[0].switch_delays
+        if deterministic:
+            for vec_trial, fast_trial in zip(vec.trials, fast.trials):
+                assert vec_trial.to_dict() == fast_trial.to_dict()
 
     def test_radio_accounting_equivalent(self, tmp_path):
         """With a radio spec, per-trial radio-on times must agree in
@@ -276,25 +303,78 @@ class TestConnectivityEquivalence:
     def test_three_engines_equivalent(
         self, kind, params, extras, policy, seed, tmp_path
     ):
-        scenario = campaign_scenario(
-            kind, params, trials=100, seed=seed, **extras
+        scenario = with_policy(
+            campaign_scenario(kind, params, trials=100, seed=seed, **extras),
+            policy,
         )
-        scenario = dataclasses.replace(
-            scenario,
-            simulation=dataclasses.replace(scenario.simulation, policy=policy),
-        )
-        # The tensor kernel only models beacon gating; the ablation
-        # policy resolves one rung down (to the bit-exact fast engine).
-        resolved = "vectorized" if policy == "beacon_gated" else "fast"
-        assert_engines_equivalent(
+        results = assert_engines_equivalent(
             scenario,
             ("vectorized", "fast", "reference"),
             cache_dir=tmp_path / "cache",
-            expect={"vectorized": resolved,
+            expect={"vectorized": "vectorized",
                     "fast": "fast",
                     "reference": "reference"},
             label=f"{kind}/{policy}",
         )
+        collisions = [
+            results[engine].points[0].stats.collisions
+            for engine in ("vectorized", "reference")
+        ]
+        if policy == "beacon_gated":
+            assert collisions == [0, 0]
+        elif kind in ("spatial", "interference"):
+            # Lossy enough around both mode changes that stale beliefs
+            # collide on every engine: the rate comparison is not vacuous.
+            assert min(collisions) > 0
+
+
+class TestBeliefHarnessHasTeeth:
+    """A broken belief pass must fail the cross-engine gate."""
+
+    def gate(self, tmp_path):
+        scenario = with_policy(
+            campaign_scenario(
+                "bernoulli", {"beacon_loss": 0.4, "data_loss": 0.05},
+                trials=300,
+            ),
+            "local_belief",
+        )
+        assert_engines_equivalent(
+            scenario, ("vectorized", "fast"), cache_dir=tmp_path / "cache",
+            label="broken belief pass",
+        )
+
+    def test_sound_belief_pass_passes(self, tmp_path):
+        self.gate(tmp_path)
+
+    def test_flags_ignoring_the_sb_beacon(self, tmp_path, monkeypatch):
+        """Nodes that hear the SB beacon but keep their old-mode belief."""
+        original = vectorized_module.belief_transmitters
+
+        def ignore_sb(program, timeline, beacon):
+            never = np.full_like(timeline.trigger_uid, -1)
+            return original(
+                program, dataclasses.replace(timeline, trigger_uid=never),
+                beacon,
+            )
+
+        monkeypatch.setattr(vectorized_module, "belief_transmitters",
+                            ignore_sb)
+        with pytest.raises(EquivalenceError,
+                           match="collision rate incompatible"):
+            self.gate(tmp_path)
+
+    def test_flags_beliefs_that_never_advance(self, tmp_path, monkeypatch):
+        """Nodes that miss a beacon repeat their last round's slots."""
+        original = vectorized_module._belief_tables
+
+        def frozen(program):
+            successor, tx_table = original(program)
+            return np.arange(successor.size), tx_table
+
+        monkeypatch.setattr(vectorized_module, "_belief_tables", frozen)
+        with pytest.raises(EquivalenceError, match="incompatible"):
+            self.gate(tmp_path)
 
 
 class TestConnectivityHarnessHasTeeth:
@@ -404,6 +484,20 @@ class TestHarnessHasTeeth:
         ).points[0]
         with pytest.raises(EquivalenceError, match="radio accounting"):
             assert_distribution_equivalent(with_radio, baseline)
+
+    def test_collisions_exact_unless_sampled(self, baseline):
+        """Collision counts must match exactly by default; with
+        ``collision_slots`` they are compared as a rate instead."""
+        stats = baseline.stats
+        slots = 100
+        few = dataclasses.replace(stats, collisions=3)
+        many = dataclasses.replace(stats, collisions=500)
+        with pytest.raises(EquivalenceError, match="collision counts differ"):
+            assert_distribution_equivalent(few, stats)
+        assert_distribution_equivalent(few, stats, collision_slots=slots)
+        with pytest.raises(EquivalenceError,
+                           match="collision rate incompatible"):
+            assert_distribution_equivalent(many, stats, collision_slots=slots)
 
     def test_label_prefixes_failures(self, baseline, tmp_path):
         skewed = self.make_point(tmp_path, data_loss=0.5)

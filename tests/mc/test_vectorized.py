@@ -17,9 +17,16 @@ Three claims beyond distribution equivalence (which
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from repro.api import LossSpec, Scenario, SimulationSpec, TopologySpec
+from repro.api import (
+    LossSpec,
+    RadioSpec,
+    Scenario,
+    SimulationSpec,
+    TopologySpec,
+)
 from repro.api.experiment import synthesize_scenarios
 from repro.cli import main
 from repro.core import Mode, SchedulingConfig
@@ -88,6 +95,23 @@ BERNOULLI = {"beacon_loss": 0.15, "data_loss": 0.1}
 @pytest.fixture(scope="module")
 def gated_context():
     return context_for(switching_scenario(loss=None))
+
+
+def belief_scenario(**overrides) -> Scenario:
+    scenario = switching_scenario(**overrides)
+    return dataclasses.replace(
+        scenario,
+        simulation=dataclasses.replace(
+            scenario.simulation, policy="local_belief"
+        ),
+    )
+
+
+@pytest.fixture(scope="module")
+def belief_context():
+    return context_for(belief_scenario(
+        loss=None, radio=RadioSpec(payload_bytes=16, diameter=3),
+    ))
 
 
 class TestDeterminism:
@@ -197,26 +221,23 @@ class TestFallbackLadder:
         via_fast = run_trial(context, "glossy", params, engine="fast")
         assert via_vectorized.to_dict() == via_fast.to_dict()
 
-    def test_local_belief_falls_back_to_fast(self):
-        """The LOCAL_BELIEF ablation couples transmission to the loss
-        realization, so no deterministic timeline exists; the context
-        records why and trials run on the (bit-exact) fast engine."""
-        scenario = switching_scenario(loss=None)
-        scenario = dataclasses.replace(
-            scenario,
-            simulation=dataclasses.replace(
-                scenario.simulation, policy="local_belief"
-            ),
-        )
-        context = context_for(scenario)
-        assert context.timeline() is None
-        assert "beacon_gated" in context.timeline_error
-        assert trial_engine(context, "bernoulli", "vectorized") == "fast"
+    def test_local_belief_resolves_vectorized(self, belief_context):
+        """The host drives the round sequence under LOCAL_BELIEF too, so
+        the timeline unrolls and every vector loss kind stays on the
+        tensor kernel; only who transmits depends on the loss draws."""
+        assert belief_context.timeline() is not None
+        assert belief_context.timeline_error is None
+        for kind in (None, "perfect", "bernoulli", "gilbert_elliott",
+                     "scripted_beacon", "trace_replay", "matrix_trace",
+                     "time_varying", "interference"):
+            assert trial_engine(belief_context, kind, "vectorized") == \
+                "vectorized"
         params = {"beacon_loss": 0.3, "data_loss": 0.1, "seed": 2}
-        via_vectorized = run_trial(context, "bernoulli", params,
+        via_vectorized = run_trial(belief_context, "bernoulli", params,
                                    engine="vectorized")
-        via_fast = run_trial(context, "bernoulli", params, engine="fast")
-        assert via_vectorized.to_dict() == via_fast.to_dict()
+        assert via_vectorized.rounds == run_trial(
+            belief_context, "bernoulli", params, engine="fast"
+        ).rounds
 
     def test_uncompilable_context_falls_back_to_reference(self, monkeypatch):
         from repro.runtime.compiled import CompileError
@@ -304,6 +325,42 @@ class TestFallbackLadder:
                             engine="fast")
         assert requested.engines == {"switchy": "fast"}
         assert requested.to_dict()["points"] == fast.to_dict()["points"]
+
+
+class TestLocalBelief:
+    """The belief pass against the bit-exact fast engine.  With a
+    deterministic loss kind nothing is left to sample, so every
+    deterministic field must match exactly — collisions included."""
+
+    TRACE = {"beacon": [["n1"], ["n0", "n1", "n2"], []],
+             "data": [["n0", "n1", "n2"], ["n2"]], "cycle": True}
+
+    def stale_belief_drops(self, context):
+        """n3 misses the SB beacon and the first new-mode beacon of both
+        mode changes, so it transmits on its old-mode belief."""
+        triggers = np.flatnonzero(context.timeline().trigger_uid >= 0)
+        assert len(triggers) == 2
+        drops = {str(r + k): ["n3"] for r in triggers for k in (0, 1)}
+        drops["3"] = ["n1", "n2"]
+        return {"drops": drops}
+
+    @pytest.mark.parametrize("kind", ["perfect", "scripted_beacon",
+                                      "trace_replay"])
+    def test_deterministic_kinds_match_fast(self, belief_context, kind):
+        params = {
+            "perfect": {},
+            "scripted_beacon": self.stale_belief_drops(belief_context),
+            "trace_replay": self.TRACE,
+        }[kind]
+        [vec] = run_trials_vectorized(belief_context, kind, params, [1])
+        fast = run_trial(belief_context, kind, params, engine="fast")
+        for field in ("rounds", "collisions", "beacon_heard", "messages",
+                      "chains", "switch_delays"):
+            assert getattr(vec, field) == getattr(fast, field), field
+        assert vec.radio_on == pytest.approx(fast.radio_on, rel=1e-12)
+        assert sum(fast.radio_on.values()) > 0.0
+        if kind == "scripted_beacon":
+            assert fast.collisions > 0  # the stale belief collides
 
 
 class TestExecutors:
@@ -396,20 +453,31 @@ class TestCliEngineReporting:
         self, tmp_path, capsys
     ):
         """When vectorized falls back, the CLI must say what ran *and*
-        what was asked for."""
-        scenario = Scenario.load(self.save_scenario(tmp_path))
-        scenario = dataclasses.replace(
-            scenario,
-            simulation=dataclasses.replace(
-                scenario.simulation, policy="local_belief"
-            ),
+        what was asked for (glossy floods have no vector sampler)."""
+        scenario = switching_scenario(
+            loss=LossSpec("glossy", {"link_success": 0.9}),
+            topology=TopologySpec("line", {"num_nodes": 4}),
+            simulation=SimulationSpec(duration=400.0, trials=3, seed=7),
+        )
+        path = tmp_path / "glossy.scenario.json"
+        scenario.save(path)
+        assert main(["scenario", "mc", str(path), "--trials", "3",
+                     "--backend", "greedy", "--engine", "vectorized"]) == 0
+        out = capsys.readouterr().out
+        assert "trial engine: fast (requested vectorized)" in out
+
+    def test_cli_reports_vectorized_local_belief(self, tmp_path, capsys):
+        scenario = belief_scenario(
+            loss=LossSpec("bernoulli", dict(BERNOULLI)),
+            simulation=SimulationSpec(duration=400.0, trials=3, seed=7),
         )
         path = tmp_path / "belief.scenario.json"
         scenario.save(path)
         assert main(["scenario", "mc", str(path), "--trials", "3",
                      "--backend", "greedy", "--engine", "vectorized"]) == 0
         out = capsys.readouterr().out
-        assert "trial engine: fast (requested vectorized)" in out
+        assert "trial engine: vectorized" in out
+        assert "(requested" not in out
 
     def test_cli_default_engine_unchanged(self, tmp_path, capsys):
         path = self.save_scenario(tmp_path)

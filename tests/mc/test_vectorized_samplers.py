@@ -37,6 +37,7 @@ from repro.runtime.loss import (
     TraceReplayLoss,
     available_loss_kinds,
 )
+from repro.runtime.simulator import NodePolicy
 
 NODES = ("n0", "n1", "n2", "n3", "n4", "n5", "n6", "n7")
 HOST = 2
@@ -50,6 +51,7 @@ def fake_program(nodes=NODES):
     return SimpleNamespace(
         node_names=tuple(nodes),
         node_index={name: index for index, name in enumerate(nodes)},
+        policy=NodePolicy.BEACON_GATED,
     )
 
 
